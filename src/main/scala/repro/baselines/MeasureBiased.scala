@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.core.{Boundaries, IslaParams, Moments, PreEstimation, Region}
+import repro.core.{Boundaries, IslaParams, Moments, PreEstimation, Region, Sampler, SamplingPass}
 
 /** The measure-biased comparators of §VIII-C, re-implemented from the
   * paper's definitions (the sample+seek originals are closed source).
@@ -27,9 +27,9 @@ object MeasureBiased {
   def runMV(df: DataFrame, valueCol: String, rate: Double,
             blockCol: String = "block", seed: Long = 17L): BaselineResult = {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
-    val v = col(valueCol).cast("double")
-    val rows = df.where(rand(seed) < rate)
-      .groupBy(col(blockCol).cast("long").as("block"))
+    val v = col("v")
+    val rows = Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed, rate)))
+      .groupBy(col("block"))
       .agg(sum(v).as("s"), sum(v * v).as("s2"), count(v).as("n"))
       .collect()
       .map(r => (r.getLong(0), r.getDouble(1), r.getDouble(2), r.getLong(3)))
@@ -56,12 +56,12 @@ object MeasureBiased {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
     val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol))
     val m = blockSizes.values.sum
-    val pre = PreEstimation.run(df, valueCol, m, p, seed)
+    val pre = PreEstimation.run(df, valueCol, m, p, seed, blockCol)
     val bounds = Boundaries(pre.sketch0, pre.sigma, p.p1, p.p2)
 
-    val v = col(valueCol).cast("double")
-    val rows = df.where(rand(seed + 2) < rate)
-      .groupBy(col(blockCol).cast("long").as("block"), bounds.regionCol(v).as("region"))
+    val v = col("v")
+    val rows = Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed + 2, rate, bounds, 0.0)))
+      .groupBy(col("block"), Boundaries.regionCol(v, col("p")).as("region"))
       .agg(count(v).as("n"), sum(v).as("s"), sum(v * v).as("s2"))
       .collect()
       .map(r => (r.getLong(0), r.getString(1), r.getLong(2), r.getDouble(3), r.getDouble(4)))

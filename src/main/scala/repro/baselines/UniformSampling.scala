@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.core.Moments
+import repro.core.{Moments, Sampler, SamplingPass}
 
 /** Result of a baseline estimator: the final answer and the per-block
   * partial answers (Table IV reports partials for the comparators too).
@@ -20,9 +20,9 @@ object UniformSampling {
   def run(df: DataFrame, valueCol: String, rate: Double,
           blockCol: String = "block", seed: Long = 11L): BaselineResult = {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
-    val v = col(valueCol).cast("double")
-    val rows = df.where(rand(seed) < rate)
-      .groupBy(col(blockCol).cast("long").as("block"))
+    val v = col("v")
+    val rows = Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed, rate)))
+      .groupBy(col("block"))
       .agg(sum(v).as("s"), count(v).as("n"))
       .collect()
       .map(r => (r.getLong(0), r.getDouble(1), r.getLong(2)))
@@ -49,10 +49,10 @@ object StratifiedSampling {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
     val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol))
     val m = blockSizes.values.sum
-    val v = col(valueCol).cast("double")
-    val means = df.where(rand(seed) < rate)
-      .groupBy(col(blockCol).cast("long").as("block"))
-      .agg(avg(v).as("m"))
+    val passes = blockSizes.map { case (b, _) => b -> SamplingPass(seed, rate) }
+    val means = Sampler.sample(df, valueCol, blockCol, passes)
+      .groupBy(col("block"))
+      .agg(avg(col("v")).as("m"))
       .collect()
       .map(r => r.getLong(0) -> r.getDouble(1))
       .toMap

@@ -23,8 +23,8 @@ object Region {
   *  - L : (sketch₀ + p₁σ, sketch₀ + p₂σ)
   *  - TL: [sketch₀ + p₂σ, +∞)
   *
-  * Provides both a scalar classifier (driver-side math, tests) and a
-  * Catalyst [[Column]] classifier (the distributed sampling phase).
+  * The scalar classifier serves driver-side math and tests; the companion
+  * holds its Catalyst form for the distributed passes.
   */
 final case class Boundaries(sketch0: Double, sigma: Double, p1: Double, p2: Double) {
   require(sigma >= 0, s"sigma must be non-negative: $sigma")
@@ -48,18 +48,19 @@ final case class Boundaries(sketch0: Double, sigma: Double, p1: Double, p2: Doub
 
   /** True iff `a` lies in the L region (strictly between hi1 and hi2). */
   def isL(a: Double): Boolean = a > hi1 && a < hi2
+}
 
-  /** Catalyst predicate: `col` falls in the S region. */
-  def isSCol(col: Column): Column = col > lo2 && col < lo1
+object Boundaries {
 
-  /** Catalyst predicate: `col` falls in the L region. */
-  def isLCol(col: Column): Column = col > hi1 && col < hi2
-
-  /** Catalyst expression yielding the region name ("TS".."TL") of `col`. */
-  def regionCol(col: Column): Column =
-    when(col <= lo2, Region.TS.name)
-      .when(col < lo1, Region.S.name)
-      .when(col <= hi1, Region.N.name)
-      .when(col < hi2, Region.L.name)
+  /** Catalyst forms of `isS`, `isL` and `classify` over boundaries carried
+    * as data, in the struct column `b` (a sampled row's [[SamplingPass]]).
+    */
+  def isSCol(v: Column, b: Column): Column = v > b("lo2") && v < b("lo1")
+  def isLCol(v: Column, b: Column): Column = v > b("hi1") && v < b("hi2")
+  def regionCol(v: Column, b: Column): Column =
+    when(v <= b("lo2"), Region.TS.name)
+      .when(v < b("lo1"), Region.S.name)
+      .when(v <= b("hi1"), Region.N.name)
+      .when(v < b("hi2"), Region.L.name)
       .otherwise(Region.TL.name)
 }

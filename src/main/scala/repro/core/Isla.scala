@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.{col, lit}
 
 /** Full ISLA output: the final answer plus everything the paper's
   * evaluation section reports about a run (sketch₀, rate, partials).
@@ -22,13 +21,13 @@ final case class IslaResult(
 /** ISLA end to end (Fig. 2): Pre-estimation → per-block Calculation
   * (sampling + iteration) → Summarization.
   *
-  * The two data-touching phases are Spark jobs (pilot aggregates and the
-  * single-pass per-block moment aggregation of Algorithm 1); the
-  * iteration phase is O(b·log(|D⁰|/thr)) scalar work on the driver, and
-  * Summarization is the size-weighted merge Σ avg_j·|Bⱼ|/M.
+  * The two data-touching phases are Spark jobs drawn by the [[Sampler]]
+  * (pilot aggregates and the single-pass per-block moment aggregation of
+  * Algorithm 1); the iteration phase is O(b·log(|D⁰|/thr)) scalar work on
+  * the driver, and Summarization is the size-weighted merge Σ avg_j·|Bⱼ|/M.
   *
   * Negative data are handled per footnote 1 of §IV-A2: when the pilot
-  * sees values ≤ 0 the whole computation runs on `value + shift`
+  * sees values ≤ 0 the sampling phase runs on `value + shift`
   * (shift = σ − pilotMin, keeping everything strictly positive) and the
   * final answer is translated back.
   */
@@ -39,7 +38,8 @@ object Isla {
     * @param df       input with `valueCol` (numeric) and `blockCol` (block id)
     * @param valueCol aggregation column
     * @param p        algorithm parameters (paper defaults)
-    * @param sizes    optional precomputed block sizes (metadata); computed if absent
+    * @param sizes    optional precomputed block sizes (metadata); computed if
+    *                 absent; a block of `df` missing from them fails the query
     * @param seed     RNG seed; the pilot uses seed, the main pass seed+2
     */
   def run(
@@ -54,11 +54,10 @@ object Isla {
     val m = blockSizes.values.sum
     require(m > 0, "empty input")
 
-    val pre = PreEstimation.run(df, valueCol, m, p, seed)
+    val pre = PreEstimation.run(df, valueCol, m, p, seed, blockCol)
 
     // Footnote 1: translate to strictly positive values when needed.
     val shift = if (pre.pilotMin <= 0) -pre.pilotMin + math.max(pre.sigma, 1.0) else 0.0
-    val workDf = if (shift == 0) df else df.withColumn(valueCol, col(valueCol) + lit(shift))
     val sketch0 = pre.sketch0 + shift
 
     val rate = p.rateOverride.getOrElse {
@@ -67,7 +66,7 @@ object Isla {
     }
     val bounds = Boundaries(sketch0, pre.sigma, p.p1, p.p2)
 
-    val moments = Moments.collect(workDf, valueCol, rate, bounds, blockSizes, blockCol, seed + 2)
+    val moments = Moments.collect(df, valueCol, rate, bounds, blockSizes, blockCol, seed + 2, shift)
     val blocks = moments.map(Modulation.solveBlock(_, sketch0, p))
     val answer = summarize(blocks) - shift
 

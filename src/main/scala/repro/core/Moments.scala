@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Running moments of one region's samples — the whole per-region state of
@@ -32,7 +32,7 @@ final case class BlockMoments(block: Long, blockSize: Long, s: RegionMoments, l:
 
 /** Algorithm 1 (sampling phase) as a single Spark aggregation.
   *
-  * Samples are drawn per block by a Bernoulli filter `rand(seed) < r`
+  * Samples are drawn per block by the Bernoulli [[Sampler]] at rate r
   * (the distributed equivalent of drawing `m = r·|Bⱼ|` uniform samples),
   * classified by the [[Boundaries]], and folded into the S/L moments with
   * a conditional aggregate — no sample is ever materialized, matching the
@@ -44,20 +44,23 @@ object Moments {
     * one count pass stands in for the metadata lookup).
     */
   def blockSizes(df: DataFrame, blockCol: String = "block"): Map[Long, Long] =
-    df.groupBy(col(blockCol)).count()
+    df.groupBy(col(blockCol).cast("long")).count()
       .collect()
       .map(r => r.getLong(0) -> r.getLong(1))
       .toMap
 
-  /** Run the sampling phase over every block in one Spark job.
+  /** Run the sampling phase over every block in one Spark aggregation, with the
+    * same rate and boundaries in every block.
     *
     * @param df       input data with a value column and a block-id column
     * @param valueCol name of the (numeric) aggregation column
     * @param rate     per-block Bernoulli sampling rate r
-    * @param bounds   data boundaries fixing the S and L regions
-    * @param sizes    block sizes |Bⱼ| (from [[blockSizes]] or metadata)
-    * @param seed     RNG seed for the Bernoulli draw
-    * @return per-block S/L moments, keyed by block id
+    * @param bounds   data boundaries fixing the S and L regions (over shifted values)
+    * @param sizes    block sizes |Bⱼ| (from [[blockSizes]] or metadata); a
+    *                 block of `df` missing from them fails the pass
+    * @param seed     salt of the Bernoulli draw
+    * @param shift    added to every value before it is classified (footnote 1)
+    * @return per-block S/L moments, ordered by block id
     */
   def collect(
       df: DataFrame,
@@ -67,39 +70,39 @@ object Moments {
       sizes: Map[Long, Long],
       blockCol: String = "block",
       seed: Long = 42L,
+      shift: Double = 0.0,
   ): Seq[BlockMoments] = {
     require(rate > 0 && rate <= 1, s"sampling rate must be in (0,1]: $rate")
-    val v = col(valueCol).cast("double")
-    val inS = bounds.isSCol(v)
-    val inL = bounds.isLCol(v)
-    val zeroL = lit(0L); val zeroD = lit(0.0)
-    val rows = df
-      .where(rand(seed) < rate)
-      .groupBy(col(blockCol).cast("long").as("block"))
-      .agg(
-        sum(when(inS, 1L).otherwise(zeroL)).as("s_n"),
-        sum(when(inS, v).otherwise(zeroD)).as("s_sum"),
-        sum(when(inS, v * v).otherwise(zeroD)).as("s_sum2"),
-        sum(when(inS, v * v * v).otherwise(zeroD)).as("s_sum3"),
-        sum(when(inL, 1L).otherwise(zeroL)).as("l_n"),
-        sum(when(inL, v).otherwise(zeroD)).as("l_sum"),
-        sum(when(inL, v * v).otherwise(zeroD)).as("l_sum2"),
-        sum(when(inL, v * v * v).otherwise(zeroD)).as("l_sum3"),
-      )
+    val pass = SamplingPass(seed, rate, bounds, shift)
+    collect(df, valueCol, sizes.map { case (b, _) => b -> pass }, sizes, blockCol)
+  }
+
+  /** Run the sampling phase with each block's own [[SamplingPass]]. */
+  def collect(
+      df: DataFrame,
+      valueCol: String,
+      passes: Map[Long, SamplingPass],
+      sizes: Map[Long, Long],
+      blockCol: String,
+  ): Seq[BlockMoments] = {
+    val v = col("v")
+    // Algorithm 1's param per region: n, Σa, Σa², Σa³ of its samples.
+    val params = Seq(Boundaries.isSCol(v, col("p")), Boundaries.isLCol(v, col("p"))).flatMap { in =>
+      sum(when(in, 1L).otherwise(0L)) +: Seq(v, v * v, v * v * v).map(a => sum(when(in, a).otherwise(0.0)))
+    }
+    val byBlock = Sampler.sample(df, valueCol, blockCol, passes)
+      .groupBy(col("block"))
+      .agg(params.head, params.tail: _*)
       .collect()
-    val byBlock = rows.map { r =>
-      val b = r.getLong(0)
-      b -> BlockMoments(
-        block = b,
-        blockSize = sizes.getOrElse(b, 0L),
-        s = RegionMoments(r.getLong(1), r.getDouble(2), r.getDouble(3), r.getDouble(4)),
-        l = RegionMoments(r.getLong(5), r.getDouble(6), r.getDouble(7), r.getDouble(8)),
-      )
-    }.toMap
+      .map { r =>
+        r.getLong(0) -> (RegionMoments(r.getLong(1), r.getDouble(2), r.getDouble(3), r.getDouble(4)),
+          RegionMoments(r.getLong(5), r.getDouble(6), r.getDouble(7), r.getDouble(8)))
+      }.toMap
     // Blocks whose entire sample missed S∪L (or yielded no sample at all)
     // still exist and must appear with empty moments.
     sizes.keys.toSeq.sorted.map { b =>
-      byBlock.getOrElse(b, BlockMoments(b, sizes(b), RegionMoments.empty, RegionMoments.empty))
+      val (s, l) = byBlock.getOrElse(b, (RegionMoments.empty, RegionMoments.empty))
+      BlockMoments(b, sizes(b), s, l)
     }
   }
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 /** Output of the Pre-estimation module (§III): the estimated standard
@@ -26,26 +26,28 @@ object PreEstimation {
     * @param valueCol numeric aggregation column
     * @param dataSize total data size M (from metadata / block sizes)
     * @param p        ISLA parameters (β, e, t_e, pilot size)
-    * @param seed     RNG seed; pass 2 uses seed+1
+    * @param seed     salt of pass 1's draw; pass 2 uses seed+1
+    * @param blockCol block-id column
     */
-  def run(df: DataFrame, valueCol: String, dataSize: Long, p: IslaParams, seed: Long = 7L): PreEstimate = {
-    val v = col(valueCol).cast("double")
+  def run(df: DataFrame, valueCol: String, dataSize: Long, p: IslaParams, seed: Long = 7L,
+          blockCol: String = "block"): PreEstimate = {
+    val v = col("v")
 
     // Pass 1: σ (and min, for the negative-data shift) from a small pilot.
     val pilotRate = math.min(1.0, p.sigmaPilot.toDouble / dataSize)
-    val r1 = df.where(rand(seed) < pilotRate)
-      .agg(stddev_samp(v).as("sd"), min(v).as("mn"), avg(v).as("av"))
-      .collect()(0)
-    val sigma = if (r1.isNullAt(0)) 0.0 else r1.getDouble(0)
-    val pilotMin = if (r1.isNullAt(1)) 0.0 else r1.getDouble(1)
-    val pilotMean = if (r1.isNullAt(2)) 0.0 else r1.getDouble(2)
+    val zero = lit(0.0)
+    val Row(sigma: Double, pilotMin: Double, pilotMean: Double) =
+      Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed, pilotRate)))
+        .agg(coalesce(stddev_samp(v), zero), coalesce(min(v), zero), coalesce(avg(v), zero))
+        .collect()(0)
     require(!sigma.isNaN, "pilot produced NaN sigma — empty input?")
 
     // Pass 2: sketch₀ at the relaxed precision t_e·e (Eq. 1 with e' = t_e·e).
     val sketchRate =
       if (sigma <= 0) pilotRate // constant column: any sample gives the exact mean
       else SampleSize.samplingRate(sigma, p.te * p.e, p.beta, dataSize)
-    val r2 = df.where(rand(seed + 1) < sketchRate).agg(avg(v).as("sk")).collect()(0)
+    val r2 = Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed + 1, sketchRate)))
+      .agg(avg(v).as("sk")).collect()(0)
     val sketch0 = if (r2.isNullAt(0)) pilotMean else r2.getDouble(0)
 
     PreEstimate(sigma = math.max(sigma, 0.0), sketch0 = sketch0,

@@ -9,6 +9,8 @@ import repro.{Oracle, SparkSpec}
 class BoundariesSpec extends SparkSpec {
 
   private val b = Boundaries(sketch0 = 100.0, sigma = 20.0, p1 = 0.5, p2 = 2.0)
+  // The boundaries as the distributed passes carry them: a pass struct.
+  private val bc = typedLit(SamplingPass(0L, 1.0, b, 0.0))
 
   test("boundary positions follow sketch₀ ± p₁σ / ± p₂σ") {
     assert(b.lo2 == 60.0 && b.lo1 == 90.0 && b.hi1 == 110.0 && b.hi2 == 140.0)
@@ -67,7 +69,7 @@ class BoundariesSpec extends SparkSpec {
     import spark.implicits._
     val values = (0 to 250).map(_.toDouble)
     val df = values.toDF("value")
-    val got = df.select(col("value"), b.regionCol(col("value")).as("region"))
+    val got = df.select(col("value"), Boundaries.regionCol(col("value"), bc).as("region"))
       .collect().map(r => r.getDouble(0) -> r.getString(1)).toMap
     values.foreach { v =>
       assert(got(v) == b.classify(v).name, s"v=$v")
@@ -78,7 +80,8 @@ class BoundariesSpec extends SparkSpec {
     import spark.implicits._
     val values = (0 to 250).map(_.toDouble)
     val df = values.toDF("value")
-    val got = df.select(col("value"), b.isSCol(col("value")).as("s"), b.isLCol(col("value")).as("l"))
+    val got = df
+      .select(col("value"), Boundaries.isSCol(col("value"), bc).as("s"), Boundaries.isLCol(col("value"), bc).as("l"))
       .collect().map(r => (r.getDouble(0), r.getBoolean(1), r.getBoolean(2)))
     got.foreach { case (v, s, l) =>
       assert(s == b.isS(v) && l == b.isL(v), s"v=$v")
@@ -89,7 +92,7 @@ class BoundariesSpec extends SparkSpec {
     import spark.implicits._
     val df = (0 until 1000).map(i => (i % 251).toDouble).toDF("value")
     val sparkCounts = df
-      .groupBy(b.regionCol(col("value")).as("region"))
+      .groupBy(Boundaries.regionCol(col("value"), bc).as("region"))
       .agg(count(lit(1)).as("cnt"))
     Oracle.assertEquivalent(
       sparkCounts,

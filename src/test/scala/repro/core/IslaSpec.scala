@@ -133,6 +133,21 @@ class IslaSpec extends SparkSpec {
     } finally { df.unpersist(); () }
   }
 
+  test("int and short block ids: full-rate ISLA agrees with DuckDB AVG") {
+    val base = Distributions.normal(spark, 20000L, 100.0, 20.0, 4, seed = 44)
+    for (t <- Seq("int", "short")) {
+      val df = base.withColumn("block", col("block").cast(t)).cache()
+      try {
+        val exact = df.agg(avg(col("value")).as("m"))
+        Oracle.assertEquivalent(exact, "SELECT avg(CAST(value AS DOUBLE)) AS m FROM t", "t" -> df)
+        val r = Isla.run(df, "value", p.copy(rateOverride = Some(1.0)), seed = 45)
+        assert(r.blocks.map(b => b.block -> b.blockSize) == (0L until 4L).map(_ -> 5000L))
+        val mu = exact.collect()(0).getDouble(0)
+        assert(math.abs(r.answer - mu) < p.e, s"$t blocks: answer=${r.answer} AVG=$mu")
+      } finally { df.unpersist(); () }
+    }
+  }
+
   test("constant data return the constant") {
     import spark.implicits._
     val df = (1 to 5000).map(_ => (42.0, 0L)).toDF("value", "block").cache()

@@ -100,13 +100,14 @@ class MomentsSpec extends SparkSpec {
     val df = (0 until 3000).map(_ => (rnd.nextInt(250).toDouble, rnd.nextInt(3).toLong))
       .toDF("value", "block")
     val v = col("value").cast("double")
+    val bc = typedLit(SamplingPass(0L, 1.0, bounds, 0.0))
     val sparkAgg = df.groupBy(col("block")).agg(
-      sum(when(bounds.isSCol(v), 1L).otherwise(0L)).as("s_n"),
-      sum(when(bounds.isSCol(v), v).otherwise(0.0)).as("s_sum"),
-      sum(when(bounds.isSCol(v), v * v).otherwise(0.0)).as("s_sum2"),
-      sum(when(bounds.isLCol(v), 1L).otherwise(0L)).as("l_n"),
-      sum(when(bounds.isLCol(v), v).otherwise(0.0)).as("l_sum"),
-      sum(when(bounds.isLCol(v), v * v).otherwise(0.0)).as("l_sum2"),
+      sum(when(Boundaries.isSCol(v, bc), 1L).otherwise(0L)).as("s_n"),
+      sum(when(Boundaries.isSCol(v, bc), v).otherwise(0.0)).as("s_sum"),
+      sum(when(Boundaries.isSCol(v, bc), v * v).otherwise(0.0)).as("s_sum2"),
+      sum(when(Boundaries.isLCol(v, bc), 1L).otherwise(0L)).as("l_n"),
+      sum(when(Boundaries.isLCol(v, bc), v).otherwise(0.0)).as("l_sum"),
+      sum(when(Boundaries.isLCol(v, bc), v * v).otherwise(0.0)).as("l_sum2"),
     )
     Oracle.assertEquivalent(
       sparkAgg,
@@ -152,6 +153,21 @@ class MomentsSpec extends SparkSpec {
     val a = Moments.collect(df, "value", 0.5, bounds, sizes, seed = 3L)
     val b = Moments.collect(df, "value", 0.5, bounds, sizes, seed = 3L)
     assert(a == b)
+  }
+
+  test("a block missing from the sizes fails the query, naming the block") {
+    import spark.implicits._
+    val df = (0 until 3000).map(i => ((i % 250).toDouble, (i % 3).toLong)).toDF("value", "block")
+    val sizes = Map(0L -> 1000L, 2L -> 1000L)
+    val p = IslaParams(e = 1.0)
+    Seq[() => Any](
+      () => Moments.collect(df, "value", 0.5, bounds, sizes),
+      () => Isla.run(df, "value", p, Some(sizes)),
+      () => IslaNonIid.run(df, "value", p, Some(sizes)),
+    ).foreach { query =>
+      val err = intercept[Exception](query())
+      assert(err.getMessage.contains("block 1 has no sampling parameters"), err.getMessage)
+    }
   }
 
   test("collect rejects rates outside (0,1]") {
