@@ -27,61 +27,44 @@ object MeasureBiased {
   def runMV(df: DataFrame, valueCol: String, rate: Double,
             blockCol: String = "block", seed: Long = 17L): BaselineResult = {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
-    val v = col("v")
-    val rows = Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed, rate)))
-      .groupBy(col("block"))
-      .agg(sum(v).as("s"), sum(v * v).as("s2"), count(v).as("n"))
-      .collect()
-      .map(r => (r.getLong(0), r.getDouble(1), r.getDouble(2), r.getLong(3)))
-      .sortBy(_._1)
-    require(rows.nonEmpty, "MV sample came back empty")
-    val partials = rows.map { case (b, s, s2, _) => (b, if (s == 0) 0.0 else s2 / s) }.toSeq
-    val totalN = rows.map(_._4).sum
-    val answer = rows.map { case (_, s, s2, n) =>
-      (if (s == 0) 0.0 else s2 / s) * n
-    }.sum / totalN
+    val blocks = Sampler.merge(
+      Sampler.fold(Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed, rate)))).collect())
+      .values.toSeq
+    require(blocks.nonEmpty, "MV sample came back empty")
+    val partials = blocks.map(m => m.block -> (if (m.region.sum == 0) 0.0 else m.region.sum2 / m.region.sum))
+    val answer = partials.zip(blocks).map { case ((_, est), m) => est * m.n }.sum / blocks.map(_.n).sum
     BaselineResult(answer, partials)
   }
 
   /** MVB: measure-biased re-weighting on values and data boundaries.
     *
     * Runs its own pre-estimation (pilot σ and sketch₀) to build the same
-    * boundaries ISLA uses, then one grouped pass collecting per-region
-    * {n, Σa, Σa²} for each block.
+    * boundaries ISLA uses, then one pass folding per-region {n, Σa, Σa²}
+    * for each block.
     */
   def runMVB(df: DataFrame, valueCol: String, rate: Double,
              p: IslaParams = IslaParams(),
              sizes: Option[Map[Long, Long]] = None,
              blockCol: String = "block", seed: Long = 19L): BaselineResult = {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
-    val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol))
+    val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol, valueCol))
     val m = blockSizes.values.sum
     val pre = PreEstimation.run(df, valueCol, m, p, seed, blockCol)
     val bounds = Boundaries(pre.sketch0, pre.sigma, p.p1, p.p2)
 
     val v = col("v")
-    val rows = Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed + 2, rate, bounds, 0.0)))
-      .groupBy(col("block"), Boundaries.regionCol(v, col("p")).as("region"))
-      .agg(count(v).as("n"), sum(v).as("s"), sum(v * v).as("s2"))
-      .collect()
-      .map(r => (r.getLong(0), r.getString(1), r.getLong(2), r.getDouble(3), r.getDouble(4)))
-
-    val byBlock = rows.groupBy(_._1)
-    val partials = byBlock.keys.toSeq.sorted.map { b =>
-      val regs = byBlock(b)
-      val mB = regs.map(_._3).sum.toDouble
+    val regions = Sampler.merge(Sampler.fold(
+      Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed + 2, rate, bounds, 0.0))),
+      slot = Boundaries.regionCol(v, col("p"))).collect())
+      .values.toSeq.groupBy(_.block)
+    val blocks = regions.keys.toSeq.sorted.map { b =>
+      val regs = regions(b)
+      val nB = regs.map(_.n).sum
       // Σ_reg (n_reg/m)·(Σa²/Σa); an all-zero region contributes nothing.
-      val est = regs.map { case (_, _, n, s, s2) =>
-        if (s == 0) 0.0 else (n / mB) * (s2 / s)
-      }.sum
-      (b, est)
+      (b, regs.map(_.region).map(r => if (r.sum == 0) 0.0 else (r.n.toDouble / nB) * (r.sum2 / r.sum)).sum, nB)
     }
-    val totalN = rows.map(_._3).sum.toDouble
-    val answer = byBlock.keys.toSeq.sorted.map { b =>
-      val nB = byBlock(b).map(_._3).sum
-      partials.find(_._1 == b).get._2 * nB
-    }.sum / totalN
-    BaselineResult(answer, partials)
+    val answer = blocks.map { case (_, est, nB) => est * nB }.sum / blocks.map(_._3).sum
+    BaselineResult(answer, blocks.map { case (b, est, _) => (b, est) })
   }
 
   /** Driver-side reference MVB estimate over explicit samples (tests). */

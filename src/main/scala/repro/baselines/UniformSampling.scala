@@ -1,7 +1,6 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.core.{Moments, Sampler, SamplingPass}
 
@@ -20,18 +19,13 @@ object UniformSampling {
   def run(df: DataFrame, valueCol: String, rate: Double,
           blockCol: String = "block", seed: Long = 11L): BaselineResult = {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
-    val v = col("v")
-    val rows = Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed, rate)))
-      .groupBy(col("block"))
-      .agg(sum(v).as("s"), count(v).as("n"))
-      .collect()
-      .map(r => (r.getLong(0), r.getDouble(1), r.getLong(2)))
-      .sortBy(_._1)
-    val totalSum = rows.map(_._2).sum
-    val totalN = rows.map(_._3).sum
+    val blocks = Sampler.merge(
+      Sampler.fold(Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed, rate)))).collect())
+      .values.toSeq
+    val totalN = blocks.map(_.n).sum
     require(totalN > 0, "uniform sample came back empty — rate too small for this data size")
     // Global sample mean; partials are the per-block sample means.
-    BaselineResult(totalSum / totalN, rows.map(r => (r._1, r._2 / r._3)).toSeq)
+    BaselineResult(blocks.map(_.region.sum).sum / totalN, blocks.map(m => m.block -> m.mean))
   }
 }
 
@@ -47,15 +41,11 @@ object StratifiedSampling {
           sizes: Option[Map[Long, Long]] = None,
           blockCol: String = "block", seed: Long = 13L): BaselineResult = {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
-    val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol))
+    val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol, valueCol))
     val m = blockSizes.values.sum
     val passes = blockSizes.map { case (b, _) => b -> SamplingPass(seed, rate) }
-    val means = Sampler.sample(df, valueCol, blockCol, passes)
-      .groupBy(col("block"))
-      .agg(avg(col("v")).as("m"))
-      .collect()
-      .map(r => r.getLong(0) -> r.getDouble(1))
-      .toMap
+    val means = Sampler.merge(Sampler.fold(Sampler.sample(df, valueCol, blockCol, passes)).collect())
+      .map { case ((b, _), m) => b -> m.mean }
     val partials = blockSizes.keys.toSeq.sorted.map { b =>
       // A stratum whose sample is empty contributes its size with the
       // overall sampled mean (no information → no correction).

@@ -53,14 +53,11 @@ final case class Boundaries(sketch0: Double, sigma: Double, p1: Double, p2: Doub
 object Boundaries {
 
   /** Catalyst forms of `isS`, `isL` and `classify` over boundaries carried
-    * as data, in the struct column `b` (a sampled row's [[SamplingPass]]).
+    * as data, in the struct column `b` (a sampled row's [[SamplingPass]]);
+    * `regionCol` gives the region's index in [[Region.all]].
     */
   def isSCol(v: Column, b: Column): Column = v > b("lo2") && v < b("lo1")
   def isLCol(v: Column, b: Column): Column = v > b("hi1") && v < b("hi2")
   def regionCol(v: Column, b: Column): Column =
-    when(v <= b("lo2"), Region.TS.name)
-      .when(v < b("lo1"), Region.S.name)
-      .when(v <= b("hi1"), Region.N.name)
-      .when(v < b("hi2"), Region.L.name)
-      .otherwise(Region.TL.name)
+    when(v <= b("lo2"), 0).when(v < b("lo1"), 1).when(v <= b("hi1"), 2).when(v < b("hi2"), 3).otherwise(4)
 }

@@ -21,10 +21,11 @@ final case class IslaResult(
 /** ISLA end to end (Fig. 2): Pre-estimation → per-block Calculation
   * (sampling + iteration) → Summarization.
   *
-  * The two data-touching phases are Spark jobs drawn by the [[Sampler]]
-  * (pilot aggregates and the single-pass per-block moment aggregation of
-  * Algorithm 1); the iteration phase is O(b·log(|D⁰|/thr)) scalar work on
-  * the driver, and Summarization is the size-weighted merge Σ avg_j·|Bⱼ|/M.
+  * The two data-touching phases are Spark jobs drawn and folded by the
+  * [[Sampler]] (the two pilot passes and the single-pass per-block moments
+  * of Algorithm 1, one job each); the iteration phase is
+  * O(b·log(|D⁰|/thr)) scalar work on the driver, and Summarization is the
+  * size-weighted merge Σ avg_j·|Bⱼ|/M.
   *
   * Negative data are handled per footnote 1 of §IV-A2: when the pilot
   * sees values ≤ 0 the sampling phase runs on `value + shift`
@@ -50,7 +51,7 @@ object Isla {
       blockCol: String = "block",
       seed: Long = 7L,
   ): IslaResult = {
-    val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol))
+    val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol, valueCol))
     val m = blockSizes.values.sum
     require(m > 0, "empty input")
 

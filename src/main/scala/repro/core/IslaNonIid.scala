@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Per-block pre-estimates for the non-i.i.d. extension. */
 final case class BlockPre(block: Long, size: Long, sigma: Double, sketch0: Double, pilotMin: Double)
@@ -22,7 +21,7 @@ final case class BlockPre(block: Long, size: Long, sigma: Double, sketch0: Doubl
 object IslaNonIid {
 
   /** Per-block pilot pass: σⱼ, pilot mean/min, and a second per-block
-    * pass for sketch₀ⱼ at the relaxed precision t_e·e.
+    * pass for sketch₀ⱼ at the relaxed precision t_e·e; one Spark job each.
     */
   def preEstimate(
       df: DataFrame,
@@ -32,31 +31,20 @@ object IslaNonIid {
       blockCol: String = "block",
       seed: Long = 7L,
   ): Seq[BlockPre] = {
-    val v = col("v")
-    val zero = lit(0.0)
     val pilotRate = (n: Long) => math.min(1.0, p.sigmaPilot.toDouble / n)
     val pilotPasses = sizes.map { case (b, n) => b -> SamplingPass(seed, pilotRate(n)) }
-    val pilot = Sampler.sample(df, valueCol, blockCol, pilotPasses)
-      .groupBy(col("block"))
-      .agg(coalesce(stddev_samp(v), zero), coalesce(avg(v), zero), coalesce(min(v), zero))
-      .collect()
-      .map(r => r.getLong(0) -> (r.getDouble(1), r.getDouble(2), r.getDouble(3)))
-      .toMap
+    val pilot = Sampler.merge(Sampler.fold(Sampler.sample(df, valueCol, blockCol, pilotPasses)).collect())
 
     val sketchPasses = sizes.map { case (b, n) =>
-      val sd = pilot.get(b).fold(0.0)(_._1)
+      val sd = pilot.get((b, 0)).fold(0.0)(_.stddev)
       b -> SamplingPass(seed + 1, if (sd <= 0) pilotRate(n) else SampleSize.samplingRate(sd, p.te * p.e, p.beta, n))
     }
-    val sketch = Sampler.sample(df, valueCol, blockCol, sketchPasses)
-      .groupBy(col("block"))
-      .agg(avg(v))
-      .collect()
-      .collect { case r if !r.isNullAt(1) => r.getLong(0) -> r.getDouble(1) }
-      .toMap
+    val sketch = Sampler.merge(Sampler.fold(Sampler.sample(df, valueCol, blockCol, sketchPasses)).collect())
 
     sizes.keys.toSeq.sorted.map { b =>
-      val (sd, av, mn) = pilot.getOrElse(b, (0.0, 0.0, 0.0))
-      BlockPre(b, sizes(b), math.max(sd, 0.0), sketch.get(b).filterNot(_.isNaN).getOrElse(av), mn)
+      val pb = pilot.get((b, 0))
+      val sketch0 = sketch.get((b, 0)).fold(pb.fold(0.0)(_.mean))(_.mean)
+      BlockPre(b, sizes(b), pb.fold(0.0)(_.stddev), sketch0, pb.fold(0.0)(_.min))
     }
   }
 
@@ -76,7 +64,7 @@ object IslaNonIid {
       blockCol: String = "block",
       seed: Long = 7L,
   ): IslaResult = {
-    val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol))
+    val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol, valueCol))
     val m = blockSizes.values.sum
     require(m > 0, "empty input")
 

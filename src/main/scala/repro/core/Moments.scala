@@ -30,26 +30,31 @@ object RegionMoments {
 /** Per-block output of the sampling phase: block size plus S and L moments. */
 final case class BlockMoments(block: Long, blockSize: Long, s: RegionMoments, l: RegionMoments)
 
-/** Algorithm 1 (sampling phase) as a single Spark aggregation.
+/** Algorithm 1 (sampling phase) as a single Spark job.
   *
   * Samples are drawn per block by the Bernoulli [[Sampler]] at rate r
   * (the distributed equivalent of drawing `m = r·|Bⱼ|` uniform samples),
-  * classified by the [[Boundaries]], and folded into the S/L moments with
-  * a conditional aggregate — no sample is ever materialized, matching the
-  * paper's "drop a" (Algorithm 1, line 12).
+  * classified by the [[Boundaries]], and folded into the S/L moments
+  * inside the scan ([[Sampler.fold]]) — no sample is ever materialized,
+  * matching the paper's "drop a" (Algorithm 1, line 12).
   */
 object Moments {
 
-  /** Exact block sizes `|Bⱼ|` (the paper reads these from metadata;
-    * one count pass stands in for the metadata lookup).
+  /** Exact block sizes `|Bⱼ|`: each block's non-null values, which SQL
+    * `AVG` weighs (the paper reads these from metadata; one count pass
+    * stands in for the metadata lookup). It stays a grouped SQL count: a
+    * fold over every row of the input costs more than Spark's aggregate.
     */
-  def blockSizes(df: DataFrame, blockCol: String = "block"): Map[Long, Long] =
-    df.groupBy(col(blockCol).cast("long")).count()
+  def blockSizes(df: DataFrame, blockCol: String = "block", valueCol: String = "value"): Map[Long, Long] =
+    df.groupBy(col(blockCol).cast("long")).agg(count(col(valueCol)))
       .collect()
-      .map(r => r.getLong(0) -> r.getLong(1))
+      .map { r =>
+        require(!r.isNullAt(0), s"null block id in column '$blockCol'")
+        r.getLong(0) -> r.getLong(1)
+      }
       .toMap
 
-  /** Run the sampling phase over every block in one Spark aggregation, with the
+  /** Run the sampling phase over every block in one Spark job, with the
     * same rate and boundaries in every block.
     *
     * @param df       input data with a value column and a block-id column
@@ -85,29 +90,20 @@ object Moments {
       sizes: Map[Long, Long],
       blockCol: String,
   ): Seq[BlockMoments] = {
-    val v = col("v")
-    // Algorithm 1's param per region: n, Σa, Σa², Σa³ of its samples.
-    val params = Seq(Boundaries.isSCol(v, col("p")), Boundaries.isLCol(v, col("p"))).flatMap { in =>
-      sum(when(in, 1L).otherwise(0L)) +: Seq(v, v * v, v * v * v).map(a => sum(when(in, a).otherwise(0.0)))
-    }
-    val byBlock = Sampler.sample(df, valueCol, blockCol, passes)
-      .groupBy(col("block"))
-      .agg(params.head, params.tail: _*)
-      .collect()
-      .map { r =>
-        r.getLong(0) -> (RegionMoments(r.getLong(1), r.getDouble(2), r.getDouble(3), r.getDouble(4)),
-          RegionMoments(r.getLong(5), r.getDouble(6), r.getDouble(7), r.getDouble(8)))
-      }.toMap
+    val (v, pass) = (col("v"), col("p"))
+    val (inS, inL) = (Boundaries.isSCol(v, pass), Boundaries.isLCol(v, pass))
+    // Algorithm 1's param per region — n, Σa, Σa², Σa³ — in slot 0 (S) or 1 (L);
+    // samples outside S∪L are dropped before they leave Spark's generated code.
+    val byKey = Sampler.merge(Sampler.fold(
+      Sampler.sample(df, valueCol, blockCol, passes).where(inS || inL), slot = when(inS, 0).otherwise(1)).collect())
     // Blocks whose entire sample missed S∪L (or yielded no sample at all)
     // still exist and must appear with empty moments.
-    sizes.keys.toSeq.sorted.map { b =>
-      val (s, l) = byBlock.getOrElse(b, (RegionMoments.empty, RegionMoments.empty))
-      BlockMoments(b, sizes(b), s, l)
-    }
+    val region = (b: Long, slot: Int) => byKey.get((b, slot)).fold(RegionMoments.empty)(_.region)
+    sizes.keys.toSeq.sorted.map(b => BlockMoments(b, sizes(b), region(b, 0), region(b, 1)))
   }
 
   /** Driver-side reference implementation of Algorithm 1 over explicit
-    * samples — used by tests to pin the Spark aggregation's semantics.
+    * samples — used by tests to pin the Spark fold's semantics.
     */
   def fromSamples(samples: Seq[Double], bounds: Boundaries): (RegionMoments, RegionMoments) =
     samples.foldLeft((RegionMoments.empty, RegionMoments.empty)) { case ((s, l), a) =>

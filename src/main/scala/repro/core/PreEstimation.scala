@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.lit
 
 /** Output of the Pre-estimation module (§III): the estimated standard
   * deviation, the initial sketch estimator, and a pilot minimum used to
@@ -9,7 +9,8 @@ import org.apache.spark.sql.functions._
   */
 final case class PreEstimate(sigma: Double, sketch0: Double, pilotMin: Double, pilotMean: Double)
 
-/** Pre-estimation module (§III): two small uniform Spark passes.
+/** Pre-estimation module (§III): two small uniform Spark passes, each one
+  * Spark job that folds its sample to moments ([[Sampler.fold]]).
   *
   * Pass 1 draws a fixed-size pilot (proportionally across blocks — a
   * global Bernoulli rate achieves exactly that) to estimate σ; σ only
@@ -31,26 +32,26 @@ object PreEstimation {
     */
   def run(df: DataFrame, valueCol: String, dataSize: Long, p: IslaParams, seed: Long = 7L,
           blockCol: String = "block"): PreEstimate = {
-    val v = col("v")
+    // Both passes pool every block under one key.
+    val pooled = lit(Sampler.AnyBlock)
 
     // Pass 1: σ (and min, for the negative-data shift) from a small pilot.
     val pilotRate = math.min(1.0, p.sigmaPilot.toDouble / dataSize)
-    val zero = lit(0.0)
-    val Row(sigma: Double, pilotMin: Double, pilotMean: Double) =
-      Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed, pilotRate)))
-        .agg(coalesce(stddev_samp(v), zero), coalesce(min(v), zero), coalesce(avg(v), zero))
-        .collect()(0)
-    require(!sigma.isNaN, "pilot produced NaN sigma — empty input?")
+    val pilot = Sampler.merge(Sampler.fold(
+      Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed, pilotRate))), pooled).collect())
+      .values.headOption
+    val sigma = pilot.fold(0.0)(_.stddev)
+    val pilotMean = pilot.fold(0.0)(_.mean)
 
     // Pass 2: sketch₀ at the relaxed precision t_e·e (Eq. 1 with e' = t_e·e).
     val sketchRate =
       if (sigma <= 0) pilotRate // constant column: any sample gives the exact mean
       else SampleSize.samplingRate(sigma, p.te * p.e, p.beta, dataSize)
-    val r2 = Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed + 1, sketchRate)))
-      .agg(avg(v).as("sk")).collect()(0)
-    val sketch0 = if (r2.isNullAt(0)) pilotMean else r2.getDouble(0)
+    val sketch = Sampler.merge(Sampler.fold(
+      Sampler.sample(df, valueCol, blockCol, Sampler.everyBlock(SamplingPass(seed + 1, sketchRate))), pooled).collect())
+      .values.headOption
 
-    PreEstimate(sigma = math.max(sigma, 0.0), sketch0 = sketch0,
-      pilotMin = pilotMin, pilotMean = pilotMean)
+    PreEstimate(sigma = sigma, sketch0 = sketch.fold(pilotMean)(_.mean),
+      pilotMin = pilot.fold(0.0)(_.min), pilotMean = pilotMean)
   }
 }

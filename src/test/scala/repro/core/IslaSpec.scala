@@ -148,6 +148,35 @@ class IslaSpec extends SparkSpec {
     }
   }
 
+  test("null values are skipped as SQL AVG skips them: sizes and answers match DuckDB at rate 1") {
+    // About half of block 0's values are null: counting them would give
+    // block 0 twice the weight AVG gives it.
+    val base = Distributions.normal(spark, 20000L, 100.0, 20.0, 2, seed = 46)
+    val df = base.select(
+      when(col("block") === 0 && (col("value") * 1e6).cast("long") % 2 === 0, lit(null)).otherwise(col("value")).as("value"),
+      col("block")).cache()
+    try {
+      val (_, avgRow) = Oracle.query("SELECT avg(CAST(value AS DOUBLE)) AS m FROM t", "t" -> df)
+      val mu = avgRow.head.getDouble(0)
+      val (_, counts) = Oracle.query(
+        "SELECT CAST(block AS BIGINT) AS b, count(value) AS n FROM t GROUP BY 1 ORDER BY 1", "t" -> df)
+      val duckSizes = counts.map(r => r.getLong(0) -> r.getLong(1))
+      assert(duckSizes.head._2 < 6000L && duckSizes(1)._2 == 10000L, duckSizes)
+      assert(Moments.blockSizes(df).toSeq.sorted == duckSizes)
+      val full = p.copy(rateOverride = Some(1.0))
+      for {
+        (name, run) <- Seq[(String, Option[Map[Long, Long]] => IslaResult)](
+          "Isla.run" -> (sizes => Isla.run(df, "value", full, sizes, seed = 47)),
+          "IslaNonIid.run" -> (sizes => IslaNonIid.run(df, "value", full, sizes, seed = 47)))
+        sizes <- Seq(None, Some(Moments.blockSizes(df)))
+      } {
+        val r = run(sizes)
+        assert(r.blocks.map(b => b.block -> b.blockSize) == duckSizes, s"$name sizes=$sizes")
+        assert(math.abs(r.answer - mu) < p.e, s"$name sizes=$sizes: answer=${r.answer} AVG=$mu")
+      }
+    } finally { df.unpersist(); () }
+  }
+
   test("constant data return the constant") {
     import spark.implicits._
     val df = (1 to 5000).map(_ => (42.0, 0L)).toDF("value", "block").cache()

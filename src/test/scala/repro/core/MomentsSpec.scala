@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.data.Distributions
 
 /** Tests for the sampling phase (Algorithm 1): moment algebra, the Spark
   * aggregation, and DuckDB oracle checks on the exact aggregates.
@@ -153,6 +154,20 @@ class MomentsSpec extends SparkSpec {
     val a = Moments.collect(df, "value", 0.5, bounds, sizes, seed = 3L)
     val b = Moments.collect(df, "value", 0.5, bounds, sizes, seed = 3L)
     assert(a == b)
+  }
+
+  test("two identical collects return bit-identical moments") {
+    val df = Distributions.normal(spark, 200000L, 100.0, 20.0, 10, seed = 12).cache()
+    try {
+      val sizes = Moments.blockSizes(df)
+      def bits(ms: Seq[BlockMoments]): Seq[Long] = ms.flatMap { bm =>
+        Seq(bm.block, bm.blockSize, bm.s.n, bm.l.n) ++
+          Seq(bm.s.sum, bm.s.sum2, bm.s.sum3, bm.l.sum, bm.l.sum2, bm.l.sum3).map(java.lang.Double.doubleToRawLongBits)
+      }
+      val a = Moments.collect(df, "value", 0.5, bounds, sizes, seed = 4L)
+      assert(a.map(bm => bm.s.n + bm.l.n).sum > 50000)
+      assert(bits(Moments.collect(df, "value", 0.5, bounds, sizes, seed = 4L)) == bits(a))
+    } finally { df.unpersist(); () }
   }
 
   test("a block missing from the sizes fails the query, naming the block") {

@@ -8,11 +8,11 @@ import org.apache.commons.math3.distribution.UniformRealDistribution
 import org.apache.commons.math3.stat.inference.KolmogorovSmirnovTest
 import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-import repro.SparkSpec
-import repro.baselines.UniformSampling
+import repro.{Oracle, SparkSpec}
+import repro.baselines.{MeasureBiased, StratifiedSampling, UniformSampling}
 import repro.data.Distributions
 
 /** Tests for the one Bernoulli sampler: the statistics of its hashed draw,
@@ -110,6 +110,79 @@ class SamplerSpec extends SparkSpec {
           s"$name compiled ${CodegenMetrics.METRIC_COMPILATION_TIME.getCount - compiled} classes on a warm query")
         assert(warmJobs == coldJobs, s"$name: $coldJobs jobs cold, $warmJobs warm")
       }
+    } finally { df.unpersist(); () }
+  }
+
+  test("each sampling pass is one Spark job: ISLA 3 (5 without sizes), non-i.i.d. 3, US 1") {
+    val df = Distributions.normal(spark, 100000L, 100.0, 20.0, 10, seed = 97).cache()
+    try {
+      val sizes = Moments.blockSizes(df)
+      val p = IslaParams(e = 1.0)
+      assert(jobsOf(Isla.run(df, "value", p, Some(sizes), seed = 5L)) == 3)
+      assert(jobsOf(Isla.run(df, "value", p, None, seed = 5L)) == 5)
+      assert(jobsOf(IslaNonIid.run(df, "value", p, Some(sizes), seed = 5L)) == 3)
+      assert(jobsOf(UniformSampling.run(df, "value", 0.01, seed = 5L)) == 1)
+    } finally { df.unpersist(); () }
+  }
+
+  test("pilot σ at rate 1 on 10⁹ + N(0,1) matches DuckDB to 1e-12, without cancellation") {
+    val rows = 20000L
+    val df = Distributions.normal(spark, rows, 1e9, 1.0, 4, seed = 98).cache()
+    try {
+      val pre = PreEstimation.run(df, "value", rows, IslaParams(sigmaPilot = rows.toInt), seed = 5L)
+      // DuckDB's one-pass stddev_samp rounds its running mean at this offset,
+      // so the exact reference is the two-pass form over compensated sums.
+      val (_, duck) = Oracle.query(
+        """SELECT sqrt(fsum((v - m) * (v - m)) / (count(*) - 1)) AS exact, stddev_samp(v) AS one_pass
+          |FROM (SELECT CAST(value AS DOUBLE) AS v FROM t),
+          |     (SELECT fsum(CAST(value AS DOUBLE)) / count(*) AS m FROM t)""".stripMargin, "t" -> df)
+      val (exact, onePass) = (duck.head.getDouble(0), duck.head.getDouble(1))
+      assert(math.abs(pre.sigma - exact) <= 1e-12 * exact, s"σ=${pre.sigma} exact=$exact")
+      assert(math.abs(pre.sigma - onePass) <= 1e-7 * exact, s"σ=${pre.sigma} stddev_samp=$onePass")
+      // Σa² − n·mean² would lose every digit: a² ≈ 10¹⁸ has an ulp of 128.
+    } finally { df.unpersist(); () }
+  }
+
+  /** Every entry point that scans `df`: ISLA (with and without sizes), the
+    * non-i.i.d. variant, the sampling phase and the four baselines.
+    */
+  private def entryPoints(df: DataFrame): Seq[(String, () => Any)] = {
+    val p = IslaParams(e = 1.0)
+    val sizes = Map(0L -> 5000L, 1L -> 5000L)
+    Seq(
+      "Isla.run" -> (() => Isla.run(df, "value", p, Some(sizes))),
+      "Isla.run without sizes" -> (() => Isla.run(df, "value", p)),
+      "IslaNonIid.run" -> (() => IslaNonIid.run(df, "value", p, Some(sizes))),
+      "Moments.collect" -> (() => Moments.collect(df, "value", 0.01, Boundaries(100, 20, 0.5, 2), sizes)),
+      "UniformSampling.run" -> (() => UniformSampling.run(df, "value", 0.01)),
+      "StratifiedSampling.run" -> (() => StratifiedSampling.run(df, "value", 0.01, Some(sizes))),
+      "MeasureBiased.runMV" -> (() => MeasureBiased.runMV(df, "value", 0.01)),
+      "MeasureBiased.runMVB" -> (() => MeasureBiased.runMVB(df, "value", 0.01, p, Some(sizes))),
+    )
+  }
+
+  /** 10 000 rows of N(100,20²) in blocks 0 and 1, with row 4321 replaced. */
+  private def withBadRow(value: Column, block: Column): DataFrame = {
+    val bad = monotonically_increasing_id() === 4321
+    Distributions.normal(spark, 10000L, 100.0, 20.0, 2, seed = 99).coalesce(1)
+      .select(when(bad, value).otherwise(col("value")).as("value"), when(bad, block).otherwise(col("block")).as("block"))
+  }
+
+  test("a NaN or ±∞ value fails every entry point, naming the column, even outside the sample") {
+    for (x <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val df = withBadRow(lit(x), col("block")).cache()
+      try entryPoints(df).foreach { case (name, query) =>
+        val err = intercept[Exception](query())
+        assert(err.getMessage.contains(s"non-finite value $x in column 'value'"), s"$name: ${err.getMessage}")
+      } finally { df.unpersist(); () }
+    }
+  }
+
+  test("a null block id fails every entry point, naming the column") {
+    val df = withBadRow(col("value"), lit(null).cast("long")).cache()
+    try entryPoints(df).foreach { case (name, query) =>
+      val err = intercept[Exception](query())
+      assert(err.getMessage.contains("null block id in column 'block'"), s"$name: ${err.getMessage}")
     } finally { df.unpersist(); () }
   }
 
